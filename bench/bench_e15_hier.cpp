@@ -2,7 +2,7 @@
 //
 // The flat farmer's event-loop load grows linearly with the worker count;
 // the sharded coordinator's must not.  This experiment sweeps the worker
-// tier across two and a half orders of magnitude (16, 256, 4096 workers,
+// tier across three orders of magnitude (16, 256, 4096, 16384 workers,
 // task count scaled 8x the workers so per-worker work stays constant) on
 // a heterogeneous grid (speeds cycling 50/100/200/400 mops) and reports,
 // for the Grasp and Static hierarchy modes at each scale:
@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::size_t> scales =
       smoke ? std::vector<std::size_t>{16, 128}
-            : std::vector<std::size_t>{16, 256, 4096};
+            : std::vector<std::size_t>{16, 256, 4096, 16384};
 
   if (!smoke)
     bench::print_experiment_header(
@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
         "irregular tasks\n(mean 2000 Mops, cv 0.6).  Sub-farmers own "
         "worker shards; the root farms\nsuper-grants and aggregates "
         "monitor rounds over an arity-4 reduction tree.\nThe root's "
-        "event rate must stay flat as W grows 256x.");
+        "event rate must stay flat as W grows 1024x.");
 
   // Instrument only the largest scale: each SimBackend restarts virtual
   // time at zero, so mixing spans from two runs would fold their

@@ -10,8 +10,8 @@
 // Bookkeeping is allocation-free on the steady state: delivered completions
 // drain through a reusable ring over a flat vector (storage is recycled,
 // never reallocated once warm), and the in-flight compute/timer tables are
-// small flat vectors scanned linearly — both stay at pool size, where a
-// scan beats a hash table.
+// FlatMaps — O(1) per submit, cancel and delivery at any in-flight count,
+// their slabs recycled once they reach the in-flight peak.
 #pragma once
 
 #include <vector>

@@ -90,6 +90,18 @@ struct StageState {
 
 }  // namespace
 
+std::size_t Pipeline::total_replicas(const PipelineParams& params,
+                                     std::size_t depth) {
+  if (!params.stage_replicas.empty() && params.stage_replicas.size() != depth)
+    throw std::invalid_argument(
+        "Pipeline: stage_replicas must match the stage count");
+  if (params.stage_replicas.empty()) return depth;
+  std::size_t total = 0;
+  for (std::size_t r : params.stage_replicas)
+    total += std::max<std::size_t>(1, r);
+  return total;
+}
+
 PipelineReport Pipeline::run(Backend& backend, const gridsim::Grid& grid,
                              const std::vector<NodeId>& pool,
                              const workloads::PipelineSpec& spec,
@@ -113,18 +125,7 @@ PipelineReport Pipeline::run_engine(Backend& backend,
   if (depth == 0) throw std::invalid_argument("Pipeline: empty spec");
   if (item_count == 0)
     throw std::invalid_argument("Pipeline: item_count must be positive");
-  if (!params_.stage_replicas.empty() &&
-      params_.stage_replicas.size() != depth)
-    throw std::invalid_argument(
-        "Pipeline: stage_replicas must match the stage count");
-  std::size_t initial_nodes = 0;
-  for (std::size_t s = 0; s < depth; ++s) {
-    const std::size_t r = params_.stage_replicas.empty()
-                              ? 1
-                              : std::max<std::size_t>(
-                                    1, params_.stage_replicas[s]);
-    initial_nodes += r;
-  }
+  const std::size_t initial_nodes = total_replicas(params_, depth);
 
   // Membership: map stages over the nodes present at t=0; absent nodes
   // (late joiners) arrive through the tracker as spares.
@@ -369,11 +370,9 @@ PipelineReport Pipeline::run_engine(Backend& backend,
   arm_monitor();
 
   // ---- Streaming state. -------------------------------------------------
-  // Flat insertion-ordered tables (support/flat_map.hpp): the live sets are
-  // bounded by the stage count and the source window, where a linear scan
-  // beats hashing on every per-event lookup — the same conversion the farm's
-  // in-flight table got in the hot-path overhaul — and iteration order is
-  // deterministic, which the loss-handling sweeps below rely on.
+  // Insertion-ordered tables (support/flat_map.hpp): O(1) per-event lookups,
+  // and deterministic iteration order, which the loss-handling sweeps below
+  // rely on.
   FlatMap<std::uint64_t, ItemState> items;
   FlatMap<OpToken, PendingOp> ops;
   auto item_at = [&](std::uint64_t id) -> ItemState& {

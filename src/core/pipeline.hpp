@@ -164,6 +164,12 @@ class Pipeline {
 
   [[nodiscard]] const PipelineParams& params() const { return params_; }
 
+  /// Nodes a run maps at start: the sum of the initial stage replicas (one
+  /// per stage when stage_replicas is empty).  Throws invalid_argument when
+  /// stage_replicas does not match `depth`.
+  [[nodiscard]] static std::size_t total_replicas(const PipelineParams& params,
+                                                  std::size_t depth);
+
  private:
   PipelineParams params_;
   SkeletonTraits traits_;

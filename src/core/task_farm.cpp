@@ -265,10 +265,9 @@ FarmReport TaskFarm::run_engine(Backend& backend, const gridsim::Grid& grid,
       failover->account_flush(failover->log().flush(live_member_now));
   };
 
-  // Chunks currently travelling the input -> compute -> output chain.  At
-  // most one per worker (plus reissue twins), so a flat insertion-ordered
-  // table: the per-completion find/erase that used to dominate profiles is
-  // a short linear scan, and iteration order is deterministic.
+  // Chunks currently travelling the input -> compute -> output chain, at
+  // most one per worker (plus reissue twins).  An insertion-ordered
+  // FlatMap: O(1) per-completion find/erase, deterministic iteration.
   FlatMap<OpToken, Assignment> in_flight;
   // Tokens of chunks surrendered to crash recovery; their completions (the
   // zombies) are swallowed when the backend eventually delivers them.

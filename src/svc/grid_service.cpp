@@ -98,6 +98,17 @@ JobHandle GridService::submit_impl(std::variant<FarmJob, PipelineJob> spec,
     throw std::invalid_argument("GridService: job weight must be > 0");
   if (!(options.max_share > 0.0) || options.max_share > 1.0)
     throw std::invalid_argument("GridService: max_share must be in (0, 1]");
+  // A pipeline maps every initial stage replica onto its own node, so an
+  // allocation below that total could only fail inside the engine.
+  std::size_t floor_nodes = 1;
+  if (const auto* pipe = std::get_if<PipelineJob>(&spec)) {
+    floor_nodes = std::max(
+        floor_nodes,
+        core::Pipeline::total_replicas(pipe->params, pipe->spec.depth()));
+    if (floor_nodes > pool_.size())
+      throw std::invalid_argument(
+          "GridService: pool smaller than the pipeline's total replicas");
+  }
 
   std::unique_lock<std::mutex> lk(mu_);
   auto job = std::make_shared<detail::JobState>();
@@ -105,7 +116,7 @@ JobHandle GridService::submit_impl(std::variant<FarmJob, PipelineJob> spec,
   job->name = options.name.empty() ? "job-" + std::to_string(job->seq)
                                    : std::move(options.name);
   job->weight = options.weight;
-  job->min_nodes = std::max<std::size_t>(options.min_nodes, 1);
+  job->min_nodes = std::max(options.min_nodes, floor_nodes);
   if (!pool_.empty()) job->min_nodes = std::min(job->min_nodes, pool_.size());
   job->max_share = options.max_share;
   job->spec = std::move(spec);

@@ -95,7 +95,7 @@ TEST(HierChurnProperty, SubFarmerCrashPromotesWithinTheShard) {
 
   std::vector<NodeId> workers;
   std::vector<double> speeds;
-  for (std::int64_t i = 1; i <= 8; ++i) {
+  for (std::uint64_t i = 1; i <= 8; ++i) {
     workers.push_back(NodeId{i});
     speeds.push_back(100.0);
   }
@@ -138,7 +138,7 @@ TEST(HierChurnProperty, SubFarmerCrashRedispatchesOnlyTheSuffix) {
   gridsim::Grid grid = b.build();
   std::vector<NodeId> workers;
   std::vector<double> speeds;
-  for (std::int64_t i = 1; i <= 8; ++i) {
+  for (std::uint64_t i = 1; i <= 8; ++i) {
     workers.push_back(NodeId{i});
     speeds.push_back(100.0);
   }
@@ -171,7 +171,7 @@ TEST(HierChurnProperty, WorkerCrashStaysLocalToItsShard) {
   gridsim::Grid grid = b.build();
   std::vector<NodeId> workers;
   std::vector<double> speeds;
-  for (std::int64_t i = 1; i <= 8; ++i) {
+  for (std::uint64_t i = 1; i <= 8; ++i) {
     workers.push_back(NodeId{i});
     speeds.push_back(100.0);
   }
@@ -201,28 +201,56 @@ TEST(HierChurnProperty, WorkerCrashStaysLocalToItsShard) {
 /// whatever dies, every task completes exactly once at the root.  The
 /// first two nodes are protected (the root plus one immortal worker), so
 /// the pool can always finish.
-TEST(HierChurnProperty, SeededChurnConservesTasksExactlyOnce) {
-  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
-    gridsim::ChurnScenarioParams cp;
-    cp.grid.node_count = 9;
-    cp.grid.dynamics = gridsim::Dynamics::Stable;
-    cp.grid.seed = 500 + seed;
-    cp.mtbf = 150.0;
-    cp.crash_fraction = 0.7;
-    cp.rejoin_probability = 0.0;  // the worker set only shrinks
-    cp.horizon = Seconds{500.0};
-    cp.warmup = Seconds{10.0};
-    cp.protected_prefix = 2;
-    cp.churn_seed = 7919 * (seed + 1);
-    const gridsim::Grid grid = gridsim::make_churn_grid(cp);
+gridsim::ChurnScenarioParams seeded_churn(std::uint64_t seed,
+                                          std::size_t nodes) {
+  gridsim::ChurnScenarioParams cp;
+  cp.grid.node_count = nodes;
+  cp.grid.dynamics = gridsim::Dynamics::Stable;
+  cp.grid.seed = 500 + seed;
+  cp.mtbf = 150.0;
+  cp.crash_fraction = 0.7;
+  cp.rejoin_probability = 0.0;  // the worker set only shrinks
+  cp.horizon = Seconds{500.0};
+  cp.warmup = Seconds{10.0};
+  cp.protected_prefix = 2;
+  cp.churn_seed = 7919 * (seed + 1);
+  return cp;
+}
 
+TEST(HierChurnProperty, SeededChurnConservesTasksExactlyOnce) {
+  std::size_t promotions = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    const gridsim::Grid grid = gridsim::make_churn_grid(seeded_churn(seed, 9));
     core::SimBackend backend(grid);
     const workloads::TaskSet ts = hier_tasks(200, 1500.0, 31 * seed + 5);
     const HierFarmReport r =
         HierFarm(hier_params()).run(backend, grid, grid.node_ids(), ts);
     check_hier_invariants(r, 200);
+    promotions += r.promotions;
   }
+  // The suite must reach the replica-log path: rollback on promotion.
+  EXPECT_GT(promotions, 0u);
+}
+
+/// The same invariants at 1024 workers in 32 shards: the scale where the
+/// token tables hold thousands of in-flight entries and many sub-farmers
+/// die at once.
+TEST(HierChurnProperty, SeededChurnAtThousandWorkersConservesTasks) {
+  gridsim::ChurnScenarioParams cp = seeded_churn(3, 1025);
+  cp.mtbf = 600.0;
+  const gridsim::Grid grid = gridsim::make_churn_grid(cp);
+  core::SimBackend backend(grid);
+  const workloads::TaskSet ts = hier_tasks(8192, 1500.0, 97);
+  HierFarmParams params = hier_params();
+  params.workers_per_shard = 32;
+  params.max_shards = 32;
+  const HierFarmReport r =
+      HierFarm(params).run(backend, grid, grid.node_ids(), ts);
+  check_hier_invariants(r, 8192);
+  EXPECT_EQ(r.shards, 32u);
+  EXPECT_GT(r.trace.count(TraceEventKind::NodeCrashDetected), 0u);
+  EXPECT_GT(r.promotions, 0u);
 }
 
 }  // namespace

@@ -260,20 +260,64 @@ TEST(GridService, EngineExceptionsSurfaceThroughWait) {
 }
 
 TEST(GridService, ThreadedEngineExceptionsAreCapturedAndRethrown) {
-  // Pipeline deeper than its allocation: the engine throws on its job
-  // thread; the service must carry the exact exception back to wait().
-  const gridsim::Grid grid = gridsim::make_uniform_grid(2, 100.0);
+  // A pipeline with no items passes admission but the engine rejects it on
+  // its job thread; the service must carry the exact exception to wait().
+  const gridsim::Grid grid = gridsim::make_uniform_grid(4, 100.0);
   core::SimBackend backend(grid);
   GridService::Params params;
   params.force_threaded = true;
   GridService service(backend, grid, grid.node_ids(), params);
   const workloads::PipelineSpec spec =
-      workloads::make_uniform_pipeline(5, 50.0, 1e4);
+      workloads::make_uniform_pipeline(3, 50.0, 1e4);
   const JobHandle handle =
-      service.submit(PipelineJob{core::PipelineParams{}, spec, 10});
+      service.submit(PipelineJob{core::PipelineParams{}, spec, 0});
   EXPECT_THROW(service.wait(handle), std::invalid_argument);
   EXPECT_EQ(handle.status(), JobStatus::Failed);
+  EXPECT_NE(handle.error_message().find("item_count"), std::string::npos);
   service.wait_all();  // must not rethrow or hang
+}
+
+TEST(GridService, PipelineMinNodesIsFlooredAtTotalReplicas) {
+  // A farm holding most of the pool leaves fewer free nodes than the
+  // pipeline's five replicas.  With min_nodes = 1 the pipeline used to be
+  // admitted onto the leftovers and fail; floored at its replica total it
+  // waits for room and completes.
+  const gridsim::Grid grid = gridsim::make_uniform_grid(8, 100.0);
+  core::SimBackend backend(grid);
+  GridService service(backend, grid, grid.node_ids());
+  JobOptions most;
+  most.max_share = 0.6;
+  const JobHandle farm = service.submit(
+      FarmJob{core::make_adaptive_farm_params(), tasks(100, 3)}, most);
+  core::PipelineParams pp;
+  pp.stage_replicas = {1, 2, 2};
+  JobOptions one;
+  one.min_nodes = 1;
+  const JobHandle pipe = service.submit(
+      PipelineJob{pp, workloads::make_uniform_pipeline(3, 50.0, 1e4), 20},
+      one);
+  service.wait_all();
+  ASSERT_EQ(farm.status(), JobStatus::Completed);
+  ASSERT_EQ(pipe.status(), JobStatus::Completed) << pipe.error_message();
+  EXPECT_EQ(pipe.pipeline_report().items_completed, 20u);
+  EXPECT_GE(pipe.nodes().size(), 5u);
+}
+
+TEST(GridService, PipelineLargerThanPoolIsRefusedAtSubmit) {
+  const gridsim::Grid grid = gridsim::make_uniform_grid(4, 100.0);
+  core::SimBackend backend(grid);
+  GridService service(backend, grid, grid.node_ids());
+  core::PipelineParams pp;
+  pp.stage_replicas = {1, 3, 1};  // five replicas, four nodes
+  EXPECT_THROW(
+      (void)service.submit(PipelineJob{
+          pp, workloads::make_uniform_pipeline(3, 50.0, 1e4), 10}),
+      std::invalid_argument);
+  EXPECT_THROW((void)service.submit(PipelineJob{
+                   core::PipelineParams{},
+                   workloads::make_uniform_pipeline(5, 50.0, 1e4), 10}),
+               std::invalid_argument);
+  service.wait_all();
 }
 
 TEST(GridService, PerJobTelemetryIsImportedUnderScopedPrefix) {
